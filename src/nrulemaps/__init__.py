@@ -70,6 +70,7 @@ from .piecewise import (
     distance_profile,
     invariant_points,
     iterate_piecewise,
+    separation_factor,
     separation_product,
 )
 from .symbolic import (

@@ -12,7 +12,8 @@ import csv
 import math
 import random
 import sys
-from typing import Optional, Sequence
+from itertools import chain
+from typing import Iterable, Iterator, Optional, Sequence
 
 from . import curves, emit, piecewise, symbolic
 from .config import SystemConfig, load_config
@@ -40,6 +41,25 @@ def _parse_start(text: str) -> Point:
         raise InvalidSpec(f"--start: {e}") from e
 
 
+def _orbit_records(
+    points: Sequence[Point],
+    rows: Iterable[tuple[int, str]],
+    onset: int,
+    tie_record: Optional[piecewise.StepRecord],
+) -> Iterator[emit.OrbitRecord]:
+    """CSV rows of an orbit, made one at a time as the writer consumes them.
+
+    ``rows`` gives the rule index and carrier label of each point; points
+    from ``onset`` on are flagged converged.
+    """
+    for i, (p, (rule_index, carrier)) in enumerate(zip(points, rows)):
+        flag = "converged" if i >= onset else "ok"
+        yield emit.OrbitRecord(i, p.x, p.y, rule_index, carrier, flag)
+    if tie_record is not None:
+        last = points[-1]
+        yield emit.OrbitRecord(len(points), last.x, last.y, tie_record.rule_index, "", "tie_hit")
+
+
 def _cmd_simulate(args: argparse.Namespace) -> int:
     cfg = load_config(args.config)
     arr = cfg.arrangement
@@ -60,15 +80,14 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
         for _ in range(args.steps):
             x = symbolic.step(run, x)
             points.append(x)
-        carriers = [carrier0.label] + [m.rules[i % m.n].target for i in range(len(points) - 1)]
-        rule_idx = [-1] + [i % m.n for i in range(len(points) - 1)]
+        moves: Iterable[tuple[int, str]] = (
+            (i % m.n, m.rules[i % m.n].target) for i in range(len(points) - 1)
+        )
     else:
         orbit = piecewise.iterate_piecewise(m, start, args.steps)
         points = orbit.points
         degenerate = orbit.terminated_degenerate
-        moved = [s for s in orbit.steps if not s.tie]
-        carriers = [carrier0.label] + [s.target or "" for s in moved]
-        rule_idx = [-1] + [s.rule_index for s in moved]
+        moves = ((s.rule_index, s.target or "") for s in orbit.steps if not s.tie)
         if degenerate:
             tie_record = orbit.steps[-1]
 
@@ -76,16 +95,9 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
     if not degenerate and len(points) > m.n:
         detection = piecewise.detect_periodic(points, m.n, tol=1e-8, k_max=64)
 
-    records = []
-    for i, p in enumerate(points):
-        flag = "converged" if detection is not None and i >= detection.onset_step else "ok"
-        records.append(emit.OrbitRecord(i, p.x, p.y, rule_idx[i], carriers[i], flag))
-    if tie_record is not None:
-        last = points[-1]
-        records.append(
-            emit.OrbitRecord(len(points), last.x, last.y, tie_record.rule_index, "", "tie_hit")
-        )
-    emit.write_orbit_csv(args.out, records)
+    onset = detection.onset_step if detection is not None else len(points)
+    rows = chain([(-1, carrier0.label)], moves)
+    emit.write_orbit_csv(args.out, _orbit_records(points, rows, onset, tie_record))
     if args.svg:
         emit.write_orbit_svg(
             args.svg, arr, points, detection.cycle_points if detection else None
@@ -167,7 +179,7 @@ def _analyze_piecewise(m: PiecewiseNRuleMap, rows: list[tuple]) -> None:
         rows.append(("rule", i, "theta_deg", f"{math.degrees(rule.theta):.9g}"))
         rows.append(("rule", i, "orientation", str(rule.orientation)))
         rows.append(("rule", i, "rank", str(rule.rank)))
-        away = math.sin(math.pi - rule.theta - delta) / math.sin(rule.theta)
+        away = piecewise.separation_factor(rule.theta, delta)
         toward = abs(math.sin(rule.theta - delta)) / math.sin(rule.theta)
         rows.append(("rule", i, "separation_away", f"{away:.9g}"))
         rows.append(("rule", i, "separation_toward", f"{toward:.9g}"))

@@ -9,15 +9,17 @@ such a tie as terminal, which is how degenerate systems surface.
 from __future__ import annotations
 
 import math
+from bisect import bisect_right
 from dataclasses import dataclass
 from enum import Enum
 from itertools import combinations
-from typing import Optional, Sequence, Union
+from typing import NamedTuple, Optional, Sequence, Union
 
 import numpy as np
 
 from .errors import DegenerateHit, InvalidAngle, PointOffArrangement
 from .geometry import (
+    COINCIDENCE_TOL,
     HALF_PI,
     ON_ARRANGEMENT_TOL,
     Arrangement,
@@ -168,22 +170,30 @@ def acc_check(m: PiecewiseNRuleMap) -> AccReport:
     return AccReport(satisfied, mean, delta)
 
 
-def separation_product(theta1: float, theta2: float, delta: float) -> float:
-    """Product of two away-branch separation coefficients opposite ``delta``.
+def separation_factor(theta: float, delta: float) -> float:
+    """Away-branch separation coefficient of an angle-``theta`` projection.
 
-    Each factor is sin(pi - theta - delta)/sin(theta), the distance scaling
-    of a projection whose orientation maps away from the intersection
-    point.  The product drops below 1 exactly when the mean of the two
-    angles clears (pi - delta)/2.
+    sin(pi - theta - delta)/sin(theta) is the distance scaling of a
+    projection across an intersection angle ``delta`` whose orientation
+    maps away from the intersection point.
+    """
+    if not 0.0 < theta <= HALF_PI:
+        raise InvalidAngle(f"theta must lie in (0, pi/2], got {theta}")
+    if not 0.0 < delta < HALF_PI:
+        raise InvalidAngle(f"delta must be acute, got {delta}")
+    return math.sin(math.pi - theta - delta) / math.sin(theta)
+
+
+def separation_product(theta1: float, theta2: float, delta: float) -> float:
+    """Product of two away-branch separation factors opposite ``delta``.
+
+    The product drops below 1 exactly when the mean of the two angles
+    clears (pi - delta)/2.
     """
     for name, val in (("theta1", theta1), ("theta2", theta2)):
         if not 0.0 < val <= HALF_PI:
             raise InvalidAngle(f"{name} must lie in (0, pi/2], got {val}")
-    if not 0.0 < delta < HALF_PI:
-        raise InvalidAngle(f"delta must be acute, got {delta}")
-    return (math.sin(math.pi - theta1 - delta) / math.sin(theta1)) * (
-        math.sin(math.pi - theta2 - delta) / math.sin(theta2)
-    )
+    return separation_factor(theta1, delta) * separation_factor(theta2, delta)
 
 
 class InvariantKind(Enum):
@@ -247,6 +257,96 @@ def invariant_points(m: PiecewiseNRuleMap) -> list[InvariantPoint]:
     return kept
 
 
+# Rank tables.  Along a carrier line c, the signed distance to line j is
+# affine in the arc parameter t, a_j*t + b_j, so the rank order only
+# changes where some a_j*t + b_j or a_i*t + b_i -/+ (a_j*t + b_j) vanishes.
+# Between two such breakpoints a cell stores the label order and the safe
+# sub-interval where every adjacent-rank gap exceeds NEAR_TIE_TOL plus
+# _TABLE_SLACK * (scale + |t|); there _ranked would find the same order,
+# no tie and no near tie.  The slack covers a point up to COINCIDENCE_TOL
+# off its carrier (project leaves such points where they are) on both
+# distances of a gap, and rounding that grows with the coordinates.
+_TABLE_SLACK = 4 * COINCIDENCE_TOL
+
+
+class _CarrierTable(NamedTuple):
+    """Rank orders along one carrier line, looked up by arc parameter."""
+
+    dx: float  # carrier direction: t = x . (dx, dy)
+    dy: float
+    breakpoints: list[float]
+    # cell k covers breakpoints[k-1] < t < breakpoints[k]: (safe_lo,
+    # safe_hi, lines by rank with the carrier first)
+    cells: list[tuple[float, float, tuple[Line, ...]]]
+
+
+def _safe_span(
+    gaps: Sequence[tuple[float, float]], threshold: float
+) -> tuple[float, float]:
+    """Open interval where every gap a*t + b exceeds threshold + slack*|t|."""
+    lo, hi = -math.inf, math.inf
+    for a, b in gaps:
+        beta = b - threshold
+        # |t| = max(t, -t): one linear constraint for each sign
+        for alpha in (a - _TABLE_SLACK, a + _TABLE_SLACK):
+            if alpha > 0.0:
+                lo = max(lo, -beta / alpha)
+            elif alpha < 0.0:
+                hi = min(hi, -beta / alpha)
+            elif beta <= 0.0:
+                return math.inf, -math.inf
+    return lo, hi
+
+
+def _carrier_table(c: Line, arr: Arrangement, scale: float) -> _CarrierTable:
+    cdx, cdy = c.direction
+    cnx, cny = c.normal
+    others = [l for l in arr.lines if l is not c]
+    coef = []
+    for l in others:
+        nx, ny = l.normal
+        coef.append((nx * cdx + ny * cdy, c.offset * (nx * cnx + ny * cny) - l.offset))
+    roots = {-b / a for a, b in coef if a != 0.0}
+    for (a1, b1), (a2, b2) in combinations(coef, 2):
+        for a, b in ((a1 - a2, b1 - b2), (a1 + a2, b1 + b2)):
+            if a != 0.0:
+                roots.add(-b / a)
+    bps = sorted(r for r in roots if math.isfinite(r))
+    if bps:
+        probes = [bps[0] - 1.0 - abs(bps[0])]
+        probes += [(u + v) / 2 for u, v in zip(bps, bps[1:])]
+        probes.append(bps[-1] + 1.0 + abs(bps[-1]))
+    else:
+        probes = [0.0]
+    threshold = NEAR_TIE_TOL + _TABLE_SLACK * scale
+    cells = []
+    for t in probes:
+        signed = [(a, b) if a * t + b >= 0.0 else (-a, -b) for a, b in coef]
+        ranked = sorted(
+            range(len(others)), key=lambda j: (signed[j][0] * t + signed[j][1], others[j].label)
+        )
+        # the signs and order read at the probe are only trusted where
+        # the gaps they imply, carrier's zero distance first, stay positive
+        prev = (0.0, 0.0)
+        gaps = []
+        for j in ranked:
+            gaps.append((signed[j][0] - prev[0], signed[j][1] - prev[1]))
+            prev = signed[j]
+        lo, hi = _safe_span(gaps, threshold)
+        cells.append((lo, hi, (c,) + tuple(others[j] for j in ranked)))
+    return _CarrierTable(cdx, cdy, bps, cells)
+
+
+def _rank_tables(arr: Arrangement) -> dict[str, _CarrierTable]:
+    """Rank table of each carrier, built on first use and kept on ``arr``."""
+    tables = arr.__dict__.get("_rank_tables")
+    if tables is None:
+        scale = max([1.0] + [abs(l.offset) for l in arr.lines])
+        tables = {c.label: _carrier_table(c, arr, scale) for c in arr.lines}
+        arr.__dict__["_rank_tables"] = tables
+    return tables
+
+
 @dataclass(frozen=True)
 class StepRecord:
     """What one orbit step did: which rule, where it resolved, tie flags."""
@@ -271,29 +371,49 @@ def iterate_piecewise(m: PiecewiseNRuleMap, x0: Point, max_steps: int) -> Piecew
 
     Stops early on a rank tie, recording it as the final step; gaps below
     the near-tie threshold are flagged in the step metadata but do not
-    stop the orbit.
+    stop the orbit.  Steps whose point lies inside a safe cell of its
+    carrier's rank table read the target from the table; every other step
+    (the start, points near a breakpoint, far-out points) ranks the
+    distances exactly.  Both give the same target and flags.
     """
     arr = m.arrangement
     if arr.carrier_of(x0, ON_ARRANGEMENT_TOL) is None:
         raise PointOffArrangement(f"start {tuple(x0)} lies on no arrangement line")
+    tables = _rank_tables(arr) if max_steps > 0 else {}
     points = [x0]
     steps: list[StepRecord] = []
+    records: dict[tuple[int, str, bool], StepRecord] = {}
     x = x0
     n = m.n
+    table: Optional[_CarrierTable] = None  # the start's carrier is only known to a tolerance
     for s in range(max_steps):
-        rule = m.rules[s % n]
-        ds, flags = _ranked(x, arr)
+        i = s % n
+        rule = m.rules[i]
         idx = rule.rank - 1
-        if flags[idx]:
-            steps.append(StepRecord(s % n, None, tie=True))
-            return PiecewiseOrbit(points, steps, True)
-        gap_prev = ds[idx][0] - ds[idx - 1][0] if idx > 0 else math.inf
-        gap_next = ds[idx + 1][0] - ds[idx][0] if idx + 1 < len(ds) else math.inf
-        near = min(gap_prev, gap_next) <= NEAR_TIE_TOL
-        target = arr.line(ds[idx][1])
+        target = None
+        if table is not None:
+            t = x.x * table.dx + x.y * table.dy
+            lo, hi, order = table.cells[bisect_right(table.breakpoints, t)]
+            if lo < t < hi:
+                target = order[idx]
+                near = False
+        if target is None:
+            ds, flags = _ranked(x, arr)
+            if flags[idx]:
+                steps.append(StepRecord(i, None, tie=True))
+                return PiecewiseOrbit(points, steps, True)
+            gap_prev = ds[idx][0] - ds[idx - 1][0] if idx > 0 else math.inf
+            gap_next = ds[idx + 1][0] - ds[idx][0] if idx + 1 < len(ds) else math.inf
+            near = min(gap_prev, gap_next) <= NEAR_TIE_TOL
+            target = arr.line(ds[idx][1])
         x = project(x, rule.theta, rule.orientation, target)
         points.append(x)
-        steps.append(StepRecord(s % n, target.label, False, near))
+        key = (i, target.label, near)
+        rec = records.get(key)
+        if rec is None:
+            rec = records[key] = StepRecord(i, target.label, False, near)
+        steps.append(rec)
+        table = tables[target.label]
     return PiecewiseOrbit(points, steps, False)
 
 

@@ -1,15 +1,20 @@
+import bisect
 import math
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from nrulemaps import (
     DegenerateHit,
     InvariantKind,
     PiecewiseNRuleMap,
+    PiecewiseOrbit,
     PiecewiseRule,
     Point,
     PointOffArrangement,
+    StepRecord,
     TieHit,
     acc_check,
     apply_piecewise,
@@ -18,10 +23,14 @@ from nrulemaps import (
     distance_profile,
     invariant_points,
     iterate_piecewise,
+    project,
     projection_affine,
+    separation_factor,
     separation_product,
 )
-from nrulemaps.piecewise import _ranked
+from nrulemaps import piecewise
+from nrulemaps.geometry import COINCIDENCE_TOL
+from nrulemaps.piecewise import NEAR_TIE_TOL, _rank_tables, _ranked
 
 from gensys import random_acc_piecewise, random_piecewise_arrangement, random_point_on
 
@@ -135,6 +144,13 @@ class TestSeparationProduct:
                 if t > d:
                     assert abs(math.sin(t - d)) / math.sin(t) < 1.0
 
+    def test_product_of_factors(self):
+        for td in range(5, 91, 5):
+            t = math.radians(td)
+            f = separation_factor(t, math.pi / 3)
+            assert f == math.sin(math.pi - t - math.pi / 3) / math.sin(t)
+            assert separation_product(t, t, math.pi / 3) == f * f
+
 
 class TestInvariantPoints:
     def test_y3_bisector_point_present(self, y3):
@@ -227,6 +243,102 @@ class TestIterate:
         m = PiecewiseNRuleMap(y3, (PiecewiseRule(1.0, 0, 3),))
         with pytest.raises(PointOffArrangement):
             iterate_piecewise(m, Point(4.0, 9.0), 10)
+
+
+def _exact_orbit(m, x0, max_steps):
+    """Reference stepping: rank every step's distances with _ranked."""
+    arr = m.arrangement
+    points, steps, x = [x0], [], x0
+    for s in range(max_steps):
+        rule = m.rules[s % m.n]
+        ds, flags = _ranked(x, arr)
+        idx = rule.rank - 1
+        if flags[idx]:
+            steps.append(StepRecord(s % m.n, None, tie=True))
+            return PiecewiseOrbit(points, steps, True)
+        gap_prev = ds[idx][0] - ds[idx - 1][0] if idx > 0 else math.inf
+        gap_next = ds[idx + 1][0] - ds[idx][0] if idx + 1 < len(ds) else math.inf
+        near = min(gap_prev, gap_next) <= NEAR_TIE_TOL
+        target = arr.line(ds[idx][1])
+        x = project(x, rule.theta, rule.orientation, target)
+        points.append(x)
+        steps.append(StepRecord(s % m.n, target.label, False, near))
+    return PiecewiseOrbit(points, steps, False)
+
+
+def _assert_same_as_exact(m, x0, max_steps):
+    want = _exact_orbit(m, x0, max_steps)
+    got = iterate_piecewise(m, x0, max_steps)
+    assert got.points == want.points
+    assert got.steps == want.steps
+    assert got.terminated_degenerate == want.terminated_degenerate
+
+
+# Offsets along the carrier from a tie locus: on it, inside the tie
+# tolerance, inside the near-tie band, and clear of both.
+LOCUS_OFFSETS = (0.0, 1e-13, -1e-13, 1e-11, -1e-11, 5e-10, -5e-10, 2e-9, 1e-7)
+
+
+class TestTabulatedStepping:
+    @settings(max_examples=40, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), t=st.floats(-6.0, 6.0))
+    def test_random_starts_match_exact_ranking(self, seed, t):
+        rng = random.Random(seed)
+        m = random_acc_piecewise(rng)
+        line = m.arrangement.lines[rng.randrange(len(m.arrangement.lines))]
+        _assert_same_as_exact(m, line.point_at(t), 300)
+
+    @settings(max_examples=80, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), offset=st.sampled_from(LOCUS_OFFSETS), data=st.data())
+    def test_starts_near_ties_match_exact_ranking(self, seed, offset, data):
+        m = random_acc_piecewise(random.Random(seed))
+        arr = m.arrangement
+        loci = [(arr.carrier_of(ip.location), ip.location) for ip in invariant_points(m)]
+        for c in arr.lines:
+            loci += [(c, c.point_at(bp)) for bp in _rank_tables(arr)[c.label].breakpoints]
+        carrier, p = data.draw(st.sampled_from(loci))
+        _assert_same_as_exact(m, carrier.point_at(carrier.param_of(p) + offset), 120)
+
+    @settings(max_examples=30, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), off=st.sampled_from((-1.0, 0.0, 1.0)))
+    def test_safe_cells_agree_with_ranking_off_the_carrier(self, seed, off):
+        # just inside each safe cell's edges, a point up to COINCIDENCE_TOL
+        # off its carrier still ranks in the cell's order with no near tie
+        m = random_acc_piecewise(random.Random(seed))
+        arr = m.arrangement
+        for c in arr.lines:
+            table = _rank_tables(arr)[c.label]
+            for lo, hi, order in table.cells:
+                for edge, inward in ((lo, math.inf), (hi, -math.inf)):
+                    if not math.isfinite(edge):
+                        continue
+                    t = math.nextafter(math.nextafter(edge, inward), inward)
+                    p = c.point_at(t)
+                    x = Point(p.x + off * COINCIDENCE_TOL * c.normal[0],
+                              p.y + off * COINCIDENCE_TOL * c.normal[1])
+                    tx = x.x * table.dx + x.y * table.dy
+                    cell = table.cells[bisect.bisect_right(table.breakpoints, tx)]
+                    if not cell[0] < tx < cell[1]:
+                        continue
+                    ds, flags = _ranked(x, arr)
+                    assert [lb for _, lb in ds] == [l.label for l in cell[2]]
+                    assert min(b[0] - a[0] for a, b in zip(ds, ds[1:])) > NEAR_TIE_TOL
+                    assert not any(flags)
+
+    def test_tables_resolve_steps_away_from_breakpoints(self, monkeypatch):
+        rng = random.Random(141)
+        m = random_acc_piecewise(rng)
+        x0 = random_point_on(rng, m.arrangement)
+        calls = []
+        monkeypatch.setattr(piecewise, "_ranked", lambda *a: calls.append(a) or _ranked(*a))
+        orbit = iterate_piecewise(m, x0, 2000)
+        assert not orbit.terminated_degenerate
+        assert 1 <= len(calls) <= 20
+
+    def test_step_records_are_shared(self):
+        m = random_acc_piecewise(random.Random(142))
+        orbit = iterate_piecewise(m, random_point_on(random.Random(143), m.arrangement), 500)
+        assert len({id(s) for s in orbit.steps}) == len(set(orbit.steps))
 
 
 class TestDetectPeriodic:
