@@ -262,10 +262,11 @@ def invariant_points(m: PiecewiseNRuleMap) -> list[InvariantPoint]:
 # changes where some a_j*t + b_j or a_i*t + b_i -/+ (a_j*t + b_j) vanishes.
 # Between two such breakpoints a cell stores the label order and the safe
 # sub-interval where every adjacent-rank gap exceeds NEAR_TIE_TOL plus
-# _TABLE_SLACK * (scale + |t|); there _ranked would find the same order,
-# no tie and no near tie.  The slack covers a point up to COINCIDENCE_TOL
-# off its carrier (project leaves such points where they are) on both
-# distances of a gap, and rounding that grows with the coordinates.
+# _TABLE_SLACK * (scale + |t|), scale being the largest of 1 and the line
+# offsets; there _ranked would find the same order, no tie and no near
+# tie.  The slack covers a point up to COINCIDENCE_TOL off its carrier
+# (project leaves such points where they are) on both distances of a gap,
+# and rounding that grows with the coordinates.
 _TABLE_SLACK = 4 * COINCIDENCE_TOL
 
 
