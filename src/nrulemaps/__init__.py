@@ -32,6 +32,7 @@ from .errors import (
     InvalidAngle,
     InvalidSpec,
     NeutralCycle,
+    NonFinitePoint,
     NotInvertible,
     NRuleMapError,
     ParallelLines,
@@ -69,6 +70,7 @@ from .piecewise import (
     detect_periodic,
     distance_profile,
     invariant_points,
+    iterate,
     iterate_piecewise,
     separation_factor,
     separation_product,

@@ -2,7 +2,8 @@
 
 Exit codes: 0 success, 1 validation or parse failure, 2 degenerate
 termination (a distance tie stopped the orbit), 3 no convergence when
---require-convergence was requested.
+--require-convergence was requested, 4 escape (a step left the
+floating-point range; the orbit up to its last finite point is written).
 """
 
 from __future__ import annotations
@@ -13,11 +14,11 @@ import math
 import random
 import sys
 from itertools import chain
-from typing import Iterable, Iterator, Optional, Sequence
+from typing import Iterator, Optional, Sequence
 
 from . import curves, emit, piecewise, symbolic
 from .config import SystemConfig, load_config
-from .errors import InvalidSpec, NRuleMapError
+from .errors import InvalidSpec, NonFinitePoint, NRuleMapError
 from .geometry import Point
 from .piecewise import PiecewiseNRuleMap
 from .symbolic import SymbolicNRuleMap
@@ -42,22 +43,22 @@ def _parse_start(text: str) -> Point:
 
 
 def _orbit_records(
-    points: Sequence[Point],
-    rows: Iterable[tuple[int, str]],
-    onset: int,
-    tie_record: Optional[piecewise.StepRecord],
+    orbit: piecewise.PiecewiseOrbit, carrier0: str, onset: int
 ) -> Iterator[emit.OrbitRecord]:
     """CSV rows of an orbit, made one at a time as the writer consumes them.
 
-    ``rows`` gives the rule index and carrier label of each point; points
-    from ``onset`` on are flagged converged.
+    Row 0 is the start on ``carrier0``; points from ``onset`` on are
+    flagged converged, and the last point of an escaped orbit escaped.
     """
+    points = orbit.points
+    last = len(points) - 1 if orbit.escaped else -1
+    rows = chain([(-1, carrier0)], ((s.rule_index, s.target) for s in orbit.steps if not s.tie))
     for i, (p, (rule_index, carrier)) in enumerate(zip(points, rows)):
-        flag = "converged" if i >= onset else "ok"
+        flag = "escaped" if i == last else "converged" if i >= onset else "ok"
         yield emit.OrbitRecord(i, p.x, p.y, rule_index, carrier, flag)
-    if tie_record is not None:
-        last = points[-1]
-        yield emit.OrbitRecord(len(points), last.x, last.y, tie_record.rule_index, "", "tie_hit")
+    if orbit.terminated_degenerate:
+        p = points[-1]
+        yield emit.OrbitRecord(len(points), p.x, p.y, orbit.steps[-1].rule_index, "", "tie_hit")
 
 
 def _cmd_simulate(args: argparse.Namespace) -> int:
@@ -67,45 +68,30 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
     if args.steps < 0:
         raise InvalidSpec(f"--steps must be nonnegative, got {args.steps}")
     start = _parse_start(args.start) if args.start else _default_start(cfg)
-    carrier0 = arr.carrier_of(start)
-    if carrier0 is None:
-        raise InvalidSpec(f"start point ({start.x}, {start.y}) lies on no arrangement line")
-
-    degenerate = False
-    tie_record: Optional[piecewise.StepRecord] = None
-    if isinstance(m, SymbolicNRuleMap):
-        points = [start]
-        run = m.copy(phase=0)
-        x = start
-        for _ in range(args.steps):
-            x = symbolic.step(run, x)
-            points.append(x)
-        moves: Iterable[tuple[int, str]] = (
-            (i % m.n, m.rules[i % m.n].target) for i in range(len(points) - 1)
-        )
-    else:
-        orbit = piecewise.iterate_piecewise(m, start, args.steps)
-        points = orbit.points
-        degenerate = orbit.terminated_degenerate
-        moves = ((s.rule_index, s.target or "") for s in orbit.steps if not s.tie)
-        if degenerate:
-            tie_record = orbit.steps[-1]
-
+    orbit = piecewise.iterate(m, start, args.steps)  # rejects a start off the arrangement
+    points = orbit.points
     detection = None
-    if not degenerate and len(points) > m.n:
+    if not (orbit.terminated_degenerate or orbit.escaped) and len(points) > m.n:
         detection = piecewise.detect_periodic(points, m.n, tol=1e-8, k_max=64)
 
     onset = detection.onset_step if detection is not None else len(points)
-    rows = chain([(-1, carrier0.label)], moves)
-    emit.write_orbit_csv(args.out, _orbit_records(points, rows, onset, tie_record))
+    emit.write_orbit_csv(args.out, _orbit_records(orbit, arr.carrier_of(start).label, onset))
     if args.svg:
-        emit.write_orbit_svg(
-            args.svg, arr, points, detection.cycle_points if detection else None
-        )
+        try:
+            emit.write_orbit_svg(
+                args.svg, arr, points, detection.cycle_points if detection else None
+            )
+        except NonFinitePoint:
+            print("note: no SVG written, the drawing overflows the floating-point range",
+                  file=sys.stderr)
 
-    if degenerate:
+    if orbit.terminated_degenerate:
         print(f"degenerate: orbit hit a distance tie after {len(points) - 1} steps")
         return 2
+    if orbit.escaped:
+        print(f"escaped: step {len(points)} left the floating-point range; "
+              f"the orbit stops at step {len(points) - 1}")
+        return 4
     if detection is not None:
         print(
             f"converged: period {detection.period} "

@@ -23,7 +23,7 @@ from pathlib import Path
 from typing import Any, Union
 
 from .errors import NRuleMapError, ParseError, ValidationError
-from .geometry import Arrangement, ArrangementMode, Line
+from .geometry import Arrangement, ArrangementMode, Point, line_through
 from .piecewise import PiecewiseNRuleMap, PiecewiseRule
 from .symbolic import SymbolicNRuleMap, SymbolicRule
 
@@ -64,14 +64,6 @@ def _number(obj: Any, field: str) -> float:
     return float(obj)
 
 
-def _line_from_spec(spec: LineSpec) -> Line:
-    ang = math.radians(spec.angle_deg) % math.pi
-    if ang >= math.pi:
-        ang = 0.0
-    nx, ny = -math.sin(ang), math.cos(ang)
-    return Line(ang, spec.point[0] * nx + spec.point[1] * ny, spec.label)
-
-
 @dataclass(frozen=True)
 class SystemConfig:
     """A validated system description plus its built domain objects."""
@@ -85,7 +77,11 @@ class SystemConfig:
     def arrangement(self) -> Arrangement:
         mode = ArrangementMode.SYMBOLIC if self.mode == "symbolic" else ArrangementMode.PIECEWISE
         try:
-            return Arrangement(tuple(_line_from_spec(s) for s in self.lines), mode)
+            lines = tuple(
+                line_through(Point(*s.point), math.radians(s.angle_deg), s.label)
+                for s in self.lines
+            )
+            return Arrangement(lines, mode)
         except (ValueError, NRuleMapError) as e:
             raise ValidationError(f"lines: {e}") from e
 

@@ -10,10 +10,13 @@ from typing import Iterable, Optional, Sequence, Union
 from xml.etree import ElementTree as ET
 
 from .curves import ClosedCurve
+from .errors import NonFinitePoint
 from .geometry import Arrangement, Line, Point
 
 ORBIT_FIELDS = ("step", "x", "y", "rule_index", "carrier", "flag")
 CURVE_FIELDS = ("k", "x", "y", "carrier", "realized_angle_deg")
+ORBIT_COLOR = "#1f77b4"
+CYCLE_COLOR = "#d62728"
 
 
 @dataclass(frozen=True)
@@ -25,7 +28,7 @@ class OrbitRecord:
     y: float
     rule_index: int
     carrier: str
-    flag: str  # "ok" | "tie_hit" | "converged"
+    flag: str  # "ok" | "converged" | "tie_hit" | "escaped"
 
 
 def write_orbit_csv(path: Union[str, Path], records: Iterable[OrbitRecord]) -> None:
@@ -123,6 +126,37 @@ def _poly_points(points: Sequence[Point]) -> str:
     return " ".join(f"{p.x:.10g},{-p.y:.10g}" for p in points)
 
 
+def _write_svg(
+    path: Union[str, Path],
+    arrangement: Arrangement,
+    shown: Sequence[Point],
+    shapes: Sequence[tuple[str, Sequence[Point], str, float]],
+) -> None:
+    """Arrangement lines framed around ``shown``, then ``shapes`` in order.
+
+    A shape (kind, points, color, size) is a "polyline" or "polygon"
+    through the points, stroked size times the line stroke wide, or
+    "dots": a circle of radius size times the stroke at each point.
+    Raises NonFinitePoint, writing nothing, when the frame overflows.
+    """
+    box = _bbox(list(shown) + list(arrangement.intersections.values()))
+    stroke = 0.004 * max(box[2] - box[0], box[3] - box[1])
+    if not math.isfinite(stroke):
+        raise NonFinitePoint(f"the drawing frame {box} overflows")
+    root = _svg_root(box)
+    _add_lines(root, arrangement, box, stroke)
+    for kind, points, color, size in shapes:
+        width = f"{size * stroke:.6g}"
+        if kind == "dots":
+            for p in points:
+                ET.SubElement(root, "circle", {"cx": f"{p.x:.6g}", "cy": f"{-p.y:.6g}",
+                                               "r": width, "fill": color})
+        else:
+            ET.SubElement(root, kind, {"points": _poly_points(points), "fill": "none",
+                                       "stroke": color, "stroke-width": width})
+    ET.ElementTree(root).write(path, encoding="unicode", xml_declaration=True)
+
+
 def write_orbit_svg(
     path: Union[str, Path],
     arrangement: Arrangement,
@@ -130,57 +164,15 @@ def write_orbit_svg(
     cycle: Optional[Sequence[Point]] = None,
 ) -> None:
     """Arrangement lines, the orbit polyline, and an optional highlighted cycle."""
-    frame = list(points) + list(arrangement.intersections.values())
-    box = _bbox(frame)
-    stroke = 0.004 * max(box[2] - box[0], box[3] - box[1])
-    root = _svg_root(box)
-    _add_lines(root, arrangement, box, stroke)
-    if len(points) >= 2:
-        ET.SubElement(
-            root,
-            "polyline",
-            {
-                "points": _poly_points(points),
-                "fill": "none",
-                "stroke": "#1f77b4",
-                "stroke-width": f"{0.6 * stroke:.6g}",
-            },
-        )
-    for p in points[:1]:
-        ET.SubElement(root, "circle", {"cx": f"{p.x:.6g}", "cy": f"{-p.y:.6g}",
-                                       "r": f"{1.5 * stroke:.6g}", "fill": "#1f77b4"})
+    shapes = [("polyline", points, ORBIT_COLOR, 0.6)] if len(points) >= 2 else []
+    shapes.append(("dots", points[:1], ORBIT_COLOR, 1.5))
     if cycle:
-        ET.SubElement(
-            root,
-            "polygon",
-            {
-                "points": _poly_points(cycle),
-                "fill": "none",
-                "stroke": "#d62728",
-                "stroke-width": f"{1.4 * stroke:.6g}",
-            },
-        )
-    ET.ElementTree(root).write(path, encoding="unicode", xml_declaration=True)
+        shapes.append(("polygon", cycle, CYCLE_COLOR, 1.4))
+    _write_svg(path, arrangement, points, shapes)
 
 
 def write_curve_svg(path: Union[str, Path], curve: ClosedCurve) -> None:
     """Arrangement lines with the closed curve drawn as a polygon."""
-    frame = list(curve.vertices) + list(curve.arrangement.intersections.values())
-    box = _bbox(frame)
-    stroke = 0.004 * max(box[2] - box[0], box[3] - box[1])
-    root = _svg_root(box)
-    _add_lines(root, curve.arrangement, box, stroke)
-    ET.SubElement(
-        root,
-        "polygon",
-        {
-            "points": _poly_points(curve.vertices),
-            "fill": "none",
-            "stroke": "#d62728",
-            "stroke-width": f"{1.4 * stroke:.6g}",
-        },
-    )
-    for v in curve.vertices:
-        ET.SubElement(root, "circle", {"cx": f"{v.x:.6g}", "cy": f"{-v.y:.6g}",
-                                       "r": f"{1.2 * stroke:.6g}", "fill": "#d62728"})
-    ET.ElementTree(root).write(path, encoding="unicode", xml_declaration=True)
+    vertices = curve.vertices
+    _write_svg(path, curve.arrangement, vertices,
+               [("polygon", vertices, CYCLE_COLOR, 1.4), ("dots", vertices, CYCLE_COLOR, 1.2)])

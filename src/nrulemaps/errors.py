@@ -41,6 +41,10 @@ class DegenerateHit(NRuleMapError):
     """A distance tie interrupted an operation that assumed none."""
 
 
+class NonFinitePoint(NRuleMapError, ValueError):
+    """A computed point left the floating-point range (an escaping orbit)."""
+
+
 class ConfigError(NRuleMapError):
     """Base for configuration-file problems."""
 

@@ -15,14 +15,12 @@ from functools import cached_property
 from itertools import combinations
 from typing import Iterable, Iterator, Optional
 
-from .errors import DegenerateLine, InvalidAngle, ParallelLines
+from .errors import DegenerateLine, InvalidAngle, NonFinitePoint, ParallelLines
 
 HALF_PI = math.pi / 2
 
 # Geometric coincidence: points, angles, or offsets this close are equal.
 COINCIDENCE_TOL = 1e-12
-# Verification of angle/incidence postconditions.
-INCIDENCE_TOL = 1e-10
 # A point must be this close to some line to count as on the arrangement.
 ON_ARRANGEMENT_TOL = 1e-10
 # Two intersection points closer than this flag a concurrency.
@@ -38,7 +36,7 @@ class Point:
 
     def __post_init__(self) -> None:
         if not (math.isfinite(self.x) and math.isfinite(self.y)):
-            raise ValueError(f"point coordinates must be finite, got ({self.x}, {self.y})")
+            raise NonFinitePoint(f"point coordinates must be finite, got ({self.x}, {self.y})")
 
     def __iter__(self) -> Iterator[float]:
         yield self.x
@@ -128,13 +126,18 @@ class Line:
         return False
 
 
+def line_through(p: Point, angle: float, label: str = "") -> Line:
+    """Canonical line through ``p`` with direction ``angle`` (radians, any value)."""
+    angle = _fold_angle(angle)
+    nx, ny = -math.sin(angle), math.cos(angle)
+    return Line(angle, p.x * nx + p.y * ny, label)
+
+
 def canonicalize_line(p: Point, q: Point, label: str = "") -> Line:
     """Canonical line through two distinct points."""
     if p.distance_to(q) <= COINCIDENCE_TOL:
         raise DegenerateLine(f"points {tuple(p)} and {tuple(q)} coincide")
-    angle = _fold_angle(math.atan2(q.y - p.y, q.x - p.x))
-    nx, ny = -math.sin(angle), math.cos(angle)
-    return Line(angle, p.x * nx + p.y * ny, label)
+    return line_through(p, math.atan2(q.y - p.y, q.x - p.x), label)
 
 
 def parallel(a: Line, b: Line, tol: float = COINCIDENCE_TOL) -> bool:

@@ -13,11 +13,11 @@ from bisect import bisect_right
 from dataclasses import dataclass
 from enum import Enum
 from itertools import combinations
-from typing import NamedTuple, Optional, Sequence, Union
+from typing import TYPE_CHECKING, Callable, NamedTuple, Optional, Sequence, Union
 
 import numpy as np
 
-from .errors import DegenerateHit, InvalidAngle, PointOffArrangement
+from .errors import DegenerateHit, InvalidAngle, NonFinitePoint, PointOffArrangement
 from .geometry import (
     COINCIDENCE_TOL,
     HALF_PI,
@@ -30,6 +30,9 @@ from .geometry import (
     intersect,
     project,
 )
+
+if TYPE_CHECKING:
+    from .symbolic import SymbolicNRuleMap
 
 # Distance values this close are "the same value" and make a rank tie.
 TIE_TOL = 1e-12
@@ -60,7 +63,6 @@ class PiecewiseNRuleMap:
 
     arrangement: Arrangement
     rules: tuple[PiecewiseRule, ...]
-    phase: int = 0
 
     def __post_init__(self) -> None:
         self.rules = tuple(self.rules)
@@ -74,15 +76,42 @@ class PiecewiseNRuleMap:
                 raise ValueError(f"rule {i} rank {r.rank} exceeds line count {msize}")
         if all(r.rank == 2 for r in self.rules):
             raise ValueError("at least one rule must have rank > 2")
-        if not 0 <= self.phase < len(self.rules):
-            raise ValueError(f"phase must lie in [0, {len(self.rules)}), got {self.phase}")
 
     @property
     def n(self) -> int:
         return len(self.rules)
 
-    def copy(self, phase: int = 0) -> "PiecewiseNRuleMap":
-        return PiecewiseNRuleMap(self.arrangement, self.rules, phase)
+    def target_resolver(self) -> "Resolver":
+        """Step targets for one orbit of :func:`iterate`, chosen by rank.
+
+        Inside a safe cell of the rank table of the point's carrier (the
+        last target) the table answers; elsewhere exact ranking does.
+        """
+        arr = self.arrangement
+        tables = _rank_tables(arr)
+        ranks = [r.rank - 1 for r in self.rules]
+        table: Optional[_CarrierTable] = None  # the start's carrier is only known to a tolerance
+
+        def resolve(i: int, x: Point) -> tuple[Optional[Line], bool]:
+            nonlocal table
+            idx = ranks[i]
+            if table is not None:
+                t = x.x * table.dx + x.y * table.dy
+                lo, hi, order = table.cells[bisect_right(table.breakpoints, t)]
+                if lo < t < hi:
+                    target = order[idx]
+                    table = tables[target.label]
+                    return target, False
+            ds, flags = _ranked(x, arr)
+            if flags[idx]:
+                return None, False
+            gap_prev = ds[idx][0] - ds[idx - 1][0] if idx > 0 else math.inf
+            gap_next = ds[idx + 1][0] - ds[idx][0] if idx + 1 < len(ds) else math.inf
+            target = arr.line(ds[idx][1])
+            table = tables[target.label]
+            return target, min(gap_prev, gap_next) <= NEAR_TIE_TOL
+
+        return resolve
 
 
 @dataclass(frozen=True)
@@ -360,73 +389,77 @@ class StepRecord:
 
 @dataclass
 class PiecewiseOrbit:
-    """A recorded trajectory; a tie terminates it and marks it degenerate."""
+    """A recorded trajectory of either map family.
+
+    A tie ends it degenerate; a step leaving the floating-point range
+    ends it escaped, at the last finite point.
+    """
 
     points: list[Point]
     steps: list[StepRecord]
     terminated_degenerate: bool = False
+    escaped: bool = False
+
+    def end(self) -> Point:
+        """The last point of a full-length orbit; a tie or an escape raises."""
+        if self.terminated_degenerate:
+            raise DegenerateHit(f"distance tie at step {len(self.steps) - 1}")
+        if self.escaped:
+            raise NonFinitePoint(f"orbit escaped at step {len(self.points)}")
+        return self.points[-1]
 
 
-def iterate_piecewise(m: PiecewiseNRuleMap, x0: Point, max_steps: int) -> PiecewiseOrbit:
-    """Iterate from phase 0 for up to ``max_steps`` rule applications.
+# (rule index, point) -> (target line or None on a tie, near-tie flag)
+Resolver = Callable[[int, Point], tuple[Optional[Line], bool]]
 
-    Stops early on a rank tie, recording it as the final step; gaps below
-    the near-tie threshold are flagged in the step metadata but do not
-    stop the orbit.  Steps whose point lies inside a safe cell of its
-    carrier's rank table read the target from the table; every other step
-    (the start, points near a breakpoint, far-out points) ranks the
-    distances exactly.  Both give the same target and flags.
+
+def iterate(
+    m: Union[PiecewiseNRuleMap, "SymbolicNRuleMap"], x0: Point, max_steps: int
+) -> PiecewiseOrbit:
+    """Iterate either map family from phase 0 for up to ``max_steps`` steps.
+
+    Each step projects onto the target that ``m.target_resolver()``, made
+    once per call, gives for the rule.  A tie stops the orbit as its final
+    step; near ties are only flagged.  An overflowing projection stops the
+    orbit at the last finite point and marks it escaped.
     """
-    arr = m.arrangement
-    if arr.carrier_of(x0, ON_ARRANGEMENT_TOL) is None:
-        raise PointOffArrangement(f"start {tuple(x0)} lies on no arrangement line")
-    tables = _rank_tables(arr) if max_steps > 0 else {}
+    if m.arrangement.carrier_of(x0, ON_ARRANGEMENT_TOL) is None:
+        raise PointOffArrangement(f"start point {tuple(x0)} lies on no arrangement line")
     points = [x0]
     steps: list[StepRecord] = []
+    if max_steps <= 0:
+        return PiecewiseOrbit(points, steps)
+    resolve = m.target_resolver()
     records: dict[tuple[int, str, bool], StepRecord] = {}
-    x = x0
     n = m.n
-    table: Optional[_CarrierTable] = None  # the start's carrier is only known to a tolerance
+    x = x0
     for s in range(max_steps):
         i = s % n
-        rule = m.rules[i]
-        idx = rule.rank - 1
-        target = None
-        if table is not None:
-            t = x.x * table.dx + x.y * table.dy
-            lo, hi, order = table.cells[bisect_right(table.breakpoints, t)]
-            if lo < t < hi:
-                target = order[idx]
-                near = False
+        target, near = resolve(i, x)
         if target is None:
-            ds, flags = _ranked(x, arr)
-            if flags[idx]:
-                steps.append(StepRecord(i, None, tie=True))
-                return PiecewiseOrbit(points, steps, True)
-            gap_prev = ds[idx][0] - ds[idx - 1][0] if idx > 0 else math.inf
-            gap_next = ds[idx + 1][0] - ds[idx][0] if idx + 1 < len(ds) else math.inf
-            near = min(gap_prev, gap_next) <= NEAR_TIE_TOL
-            target = arr.line(ds[idx][1])
-        x = project(x, rule.theta, rule.orientation, target)
+            steps.append(StepRecord(i, None, tie=True))
+            return PiecewiseOrbit(points, steps, terminated_degenerate=True)
+        rule = m.rules[i]
+        try:
+            x = project(x, rule.theta, rule.orientation, target)
+        except NonFinitePoint:
+            return PiecewiseOrbit(points, steps, escaped=True)
         points.append(x)
         key = (i, target.label, near)
         rec = records.get(key)
         if rec is None:
             rec = records[key] = StepRecord(i, target.label, False, near)
         steps.append(rec)
-        table = tables[target.label]
-    return PiecewiseOrbit(points, steps, False)
+    return PiecewiseOrbit(points, steps)
+
+
+# the rank-targeted family's name for the core, which callers bind
+iterate_piecewise = iterate
 
 
 def cycle_map(m: PiecewiseNRuleMap, x: Point) -> Point:
     """One full cycle (n rule applications) starting from phase 0."""
-    cur = x
-    for i, rule in enumerate(m.rules):
-        res = apply_piecewise(rule, cur, m.arrangement)
-        if isinstance(res, TieHit):
-            raise DegenerateHit(f"rank-{res.rank} tie at step {i} of the cycle")
-        cur = res
-    return cur
+    return iterate(m, x, m.n).end()
 
 
 @dataclass(frozen=True)

@@ -28,6 +28,7 @@ from .geometry import (
     parallel,
     project,
 )
+from .piecewise import Resolver, iterate
 
 # A rule whose analytic 1D scale sits within this of zero collapses its
 # carrier onto the intersection point.
@@ -209,6 +210,11 @@ class SymbolicNRuleMap:
         rules[i] = rules[i].flipped()
         return SymbolicNRuleMap(self.arrangement, tuple(rules))
 
+    def target_resolver(self) -> Resolver:
+        """Step targets for :func:`iterate`: each rule's fixed line, never a tie."""
+        targets = [(self.arrangement.line(r.target), False) for r in self.rules]
+        return lambda i, x: targets[i]
+
     def orientation_key(self) -> tuple[int, ...]:
         return tuple(r.orientation for r in self.rules)
 
@@ -249,11 +255,7 @@ def step(m: SymbolicNRuleMap, x: Point) -> Point:
 
 def apply_cycle(m: SymbolicNRuleMap, x: Point, times: int = 1) -> Point:
     """Run whole cycles from phase 0 without touching the map's phase."""
-    tmp = m.copy(phase=0)
-    cur = x
-    for _ in range(times * m.n):
-        cur = step(tmp, cur)
-    return cur
+    return iterate(m, x, times * m.n).end()
 
 
 def cycle_affine(m: SymbolicNRuleMap) -> AffineMap1D:
@@ -311,11 +313,7 @@ def periodic_orbit(m: SymbolicNRuleMap) -> list[Point]:
     Returns [p1, ..., pn] with p_k on rule k's target line; p_n is the
     induced fixed point on the last target line.
     """
-    x = induced_fixed_point(m)
-    tmp = m.copy(phase=0)
-    out = []
-    for _ in range(m.n):
-        x = step(tmp, x)
-        out.append(x)
-    return out
+    orbit = iterate(m, induced_fixed_point(m), m.n)
+    orbit.end()  # raises if the orbit escaped
+    return orbit.points[1:]
 

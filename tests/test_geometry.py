@@ -17,6 +17,7 @@ from nrulemaps import (
     intersect,
     project,
 )
+from nrulemaps.geometry import line_through
 
 finite = st.floats(-50, 50, allow_nan=False, allow_infinity=False)
 angles = st.floats(0.02, math.pi / 2, exclude_max=False)
@@ -250,3 +251,22 @@ class TestArrangement:
     def test_carrier_of(self, y3):
         assert y3.carrier_of(Point(0.5, 0.0)).label == "A"
         assert y3.carrier_of(Point(10.0, 3.0)) is None
+
+
+class TestLineThrough:
+    @given(
+        px=st.floats(-1e6, 1e6),
+        py=st.floats(-1e6, 1e6),
+        deg=st.one_of(st.floats(-1e4, 1e4), st.sampled_from([0.0, 180.0, -180.0, 540.0, -1e-300])),
+    )
+    def test_matches_the_degree_formula(self, px, py, deg):
+        # the construction config files used before line_through existed
+        ang = math.radians(deg) % math.pi
+        if ang >= math.pi:
+            ang = 0.0
+        want = Line(ang, px * -math.sin(ang) + py * math.cos(ang), "L")
+        assert line_through(Point(px, py), math.radians(deg), "L") == want
+
+    def test_canonicalize_goes_through_it(self):
+        p, q = Point(0.3, -1.2), Point(-2.0, 0.7)
+        assert canonicalize_line(p, q) == line_through(p, math.atan2(q.y - p.y, q.x - p.x))
