@@ -51,7 +51,9 @@ def run(count: int, seed: int) -> None:
         m = sample_system(rng, rng.choice((3, 4, 5)))
         line = m.arrangement.lines[rng.randrange(len(m.arrangement.lines))]
         x0 = line.point_at(rng.uniform(-4, 4))
-        orbit = iterate_piecewise(m, x0, 60000)
+        # stopping once the orbit's state repeats exactly leaves the tail
+        # detect_periodic (k_max 64, 3 confirmations) reads unchanged
+        orbit = iterate_piecewise(m, x0, 60000, stop_after_recurrence=(64 + 3) * m.n)
         if orbit.terminated_degenerate:
             degenerate += 1
             continue

@@ -399,14 +399,31 @@ class PiecewiseOrbit:
     steps: list[StepRecord]
     terminated_degenerate: bool = False
     escaped: bool = False
+    # (j, p): the state at step j recurs bit for bit at step j + p, so the
+    # orbit is exactly periodic from step j on; only watched on request
+    recurrence: Optional[tuple[int, int]] = None
+    # stopped by stop_after_recurrence before reaching max_steps
+    truncated: bool = False
 
     def end(self) -> Point:
-        """The last point of a full-length orbit; a tie or an escape raises."""
+        """The last point of a full-length orbit; a tie, an escape or a cut raises."""
         if self.terminated_degenerate:
             raise DegenerateHit(f"distance tie at step {len(self.steps) - 1}")
         if self.escaped:
             raise NonFinitePoint(f"orbit escaped at step {len(self.points)}")
+        if self.truncated:
+            raise ValueError(f"orbit was cut at step {len(self.steps)} after its recurrence")
         return self.points[-1]
+
+
+def _state_key(x: Point, label: Optional[str]) -> tuple[str, str, Optional[str]]:
+    """What fixes an orbit's future at a cycle boundary, bit for bit.
+
+    The resolver picks its rank table from the last target's label
+    (``None`` before the first step).  ``float.hex`` tells ``0.0`` from
+    ``-0.0``, which compare equal but print differently.
+    """
+    return x.x.hex(), x.y.hex(), label
 
 
 # (rule index, point) -> (target line or None on a tie, near-tie flag)
@@ -414,7 +431,10 @@ Resolver = Callable[[int, Point], tuple[Optional[Line], bool]]
 
 
 def iterate(
-    m: Union[PiecewiseNRuleMap, "SymbolicNRuleMap"], x0: Point, max_steps: int
+    m: Union[PiecewiseNRuleMap, "SymbolicNRuleMap"],
+    x0: Point,
+    max_steps: int,
+    stop_after_recurrence: Optional[int] = None,
 ) -> PiecewiseOrbit:
     """Iterate either map family from phase 0 for up to ``max_steps`` steps.
 
@@ -422,9 +442,17 @@ def iterate(
     once per call, gives for the rule.  A tie stops the orbit as its final
     step; near ties are only flagged.  An overflowing projection stops the
     orbit at the last finite point and marks it escaped.
+
+    With ``stop_after_recurrence`` set, the state at each cycle boundary
+    (:func:`_state_key`) is watched with Brent's cycle finding.  At the
+    first exact repeat the orbit records ``recurrence`` and stops that many
+    steps later, unless ``max_steps`` comes first.  What it holds is a
+    prefix of the full orbit.
     """
     if m.arrangement.carrier_of(x0, ON_ARRANGEMENT_TOL) is None:
         raise PointOffArrangement(f"start point {tuple(x0)} lies on no arrangement line")
+    if stop_after_recurrence is not None and stop_after_recurrence < 0:
+        raise ValueError(f"stop_after_recurrence must be >= 0, got {stop_after_recurrence}")
     points = [x0]
     steps: list[StepRecord] = []
     if max_steps <= 0:
@@ -433,6 +461,10 @@ def iterate(
     records: dict[tuple[int, str, bool], StepRecord] = {}
     n = m.n
     x = x0
+    watch = stop_after_recurrence is not None
+    recurrence: Optional[tuple[int, int]] = None
+    stop = -1  # the step count to stop at, once a recurrence is found
+    saved, power, lam = _state_key(x0, None), 1, 0  # Brent: saved state, window, distance
     for s in range(max_steps):
         i = s % n
         target, near = resolve(i, x)
@@ -450,7 +482,19 @@ def iterate(
         if rec is None:
             rec = records[key] = StepRecord(i, target.label, False, near)
         steps.append(rec)
-    return PiecewiseOrbit(points, steps)
+        if watch:
+            if recurrence is None and i == n - 1:
+                state = _state_key(x, target.label)
+                lam += 1
+                if state == saved:
+                    recurrence = (s + 1 - lam * n, lam * n)
+                    if s + 1 + stop_after_recurrence < max_steps:
+                        stop = s + 1 + stop_after_recurrence
+                elif lam == power:
+                    saved, power, lam = state, 2 * power, 0
+            if s + 1 == stop:
+                return PiecewiseOrbit(points, steps, recurrence=recurrence, truncated=True)
+    return PiecewiseOrbit(points, steps, recurrence=recurrence)
 
 
 # the rank-targeted family's name for the core, which callers bind
@@ -485,14 +529,27 @@ def detect_periodic(
     checks.  Accepts a PiecewiseOrbit or a plain point sequence; returns
     None when nothing is confirmed within the recorded orbit.
     """
+    if n < 1:
+        raise ValueError(f"cycle length must be positive, got {n}")
     if isinstance(orbit, PiecewiseOrbit):
         if orbit.terminated_degenerate:
             raise ValueError("a degenerate orbit has no asymptotic period")
+        if orbit.truncated:
+            # every window confirmed anywhere in the full orbit is confirmed
+            # within one period past the recurrence, if the samples repeat
+            j, p = orbit.recurrence
+            if p % n:
+                raise ValueError(f"sampling every {n} steps misses the recurrence period {p}")
+            need = (k_max + confirmations) * n
+            have = len(orbit.steps) - (j + p)
+            if have < need:
+                raise ValueError(
+                    f"orbit was cut {have} steps after its recurrence at step {j + p}; "
+                    f"k_max={k_max}, confirmations={confirmations} need a tail of {need}"
+                )
         points: Sequence[Point] = orbit.points
     else:
         points = orbit
-    if n < 1:
-        raise ValueError(f"cycle length must be positive, got {n}")
     samples = np.array([(p.x, p.y) for p in points[::n]])
     s = len(samples)
     for k in range(1, k_max + 1):
