@@ -16,6 +16,9 @@ from nrulemaps import acc_check, detect_periodic, iterate_piecewise
 from nrulemaps.piecewise import PiecewiseNRuleMap, PiecewiseRule
 from nrulemaps.geometry import Arrangement, Line
 
+# detect_periodic's window: periods up to K_MAX cycles, CONFIRMATIONS repeats
+K_MAX, CONFIRMATIONS = 64, 3
+
 
 def sample_system(rng: random.Random, m: int) -> PiecewiseNRuleMap:
     while True:
@@ -52,12 +55,13 @@ def run(count: int, seed: int) -> None:
         line = m.arrangement.lines[rng.randrange(len(m.arrangement.lines))]
         x0 = line.point_at(rng.uniform(-4, 4))
         # stopping once the orbit's state repeats exactly leaves the tail
-        # detect_periodic (k_max 64, 3 confirmations) reads unchanged
-        orbit = iterate_piecewise(m, x0, 60000, stop_after_recurrence=(64 + 3) * m.n)
+        # detect_periodic reads unchanged
+        tail = (K_MAX + CONFIRMATIONS) * m.n
+        orbit = iterate_piecewise(m, x0, 60000, stop_after_recurrence=tail)
         if orbit.terminated_degenerate:
             degenerate += 1
             continue
-        det = detect_periodic(orbit, m.n)
+        det = detect_periodic(orbit, m.n, k_max=K_MAX, confirmations=CONFIRMATIONS)
         if det is None:
             unresolved += 1
             continue

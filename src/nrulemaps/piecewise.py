@@ -421,9 +421,10 @@ def _state_key(x: Point, label: Optional[str]) -> tuple[str, str, Optional[str]]
 
     The resolver picks its rank table from the last target's label
     (``None`` before the first step).  ``float.hex`` tells ``0.0`` from
-    ``-0.0``, which compare equal but print differently.
+    ``-0.0``, which compare equal but print differently; ``float`` admits
+    the int coordinates a ``Point`` may be built with.
     """
-    return x.x.hex(), x.y.hex(), label
+    return float(x.x).hex(), float(x.y).hex(), label
 
 
 # (rule index, point) -> (target line or None on a tie, near-tie flag)
@@ -464,7 +465,9 @@ def iterate(
     watch = stop_after_recurrence is not None
     recurrence: Optional[tuple[int, int]] = None
     stop = -1  # the step count to stop at, once a recurrence is found
-    saved, power, lam = _state_key(x0, None), 1, 0  # Brent: saved state, window, distance
+    # Brent: saved state, window, distance.  The start state (label None)
+    # matches no later boundary state, so the first boundary is saved instead.
+    saved, power, lam = None, 1, 0
     for s in range(max_steps):
         i = s % n
         target, near = resolve(i, x)

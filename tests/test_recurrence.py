@@ -11,8 +11,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import math
+
 from nrulemaps import PiecewiseOrbit, Point, StepRecord, detect_periodic, iterate
-from nrulemaps.piecewise import _state_key
+from nrulemaps.piecewise import PiecewiseNRuleMap, PiecewiseRule, _state_key, cycle_map
+from nrulemaps.symbolic import SymbolicNRuleMap, SymbolicRule, apply_cycle
 
 from gensys import (
     engineered_collapsing_map,
@@ -157,6 +160,33 @@ class TestShortTail:
         assert short.points == iterate(m, x0, max_steps).points
         assert detect_periodic(short, m.n) == detect_periodic(iterate(m, x0, max_steps), m.n)
         assert short.end() == short.points[-1]
+
+
+class TestIntCoordinates:
+    """Starts written with int coordinates, as ``Point(0, 1)``, step as floats do."""
+
+    def test_symbolic_start_on_two_lines(self, x3):
+        m = SymbolicNRuleMap(
+            x3, (SymbolicRule(1.0, 0, "L1"), SymbolicRule(1.2, 1, "L2"), SymbolicRule(0.9, 0, "L3"))
+        )
+        want = iterate(m, Point(0.0, 1.0), 300)
+        for stop in (None, 6):
+            got = iterate(m, Point(0, 1), 300, stop_after_recurrence=stop)
+            assert got.points == want.points[: len(got.points)]
+            assert got.steps == want.steps[: len(got.steps)]
+        assert apply_cycle(m, Point(0, 1), 2) == apply_cycle(m, Point(0.0, 1.0), 2)
+
+    def test_piecewise_start_on_two_lines(self, y3):
+        m = PiecewiseNRuleMap(y3, (PiecewiseRule(1.2, 0, 3), PiecewiseRule(math.pi / 2, 1, 2)))
+        want = iterate(m, Point(1.0, 1.0), 300)
+        for stop in (None, 6):
+            got = iterate(m, Point(1, 1), 300, stop_after_recurrence=stop)
+            assert got.points == want.points[: len(got.points)]
+            assert got.steps == want.steps[: len(got.steps)]
+        assert cycle_map(m, Point(1, 1)) == cycle_map(m, Point(1.0, 1.0))
+
+    def test_state_key_of_an_int_point(self):
+        assert _state_key(Point(0, 1), "L1") == _state_key(Point(0.0, 1.0), "L1")
 
 
 def test_state_key_tells_signed_zeros_apart():
